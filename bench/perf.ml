@@ -7,6 +7,14 @@ module Staged = Bechamel.Staged
 
 let witness = Bechamel.Toolkit.Instance.monotonic_clock
 
+(* The same policy with its structure tag stripped: the estimators can
+   only run it on the scalar stepper. *)
+let untagged (p : Suu_core.Policy.t) = Suu_core.Policy.make p.name p.fresh
+
+(* What a served [solve] runs: the seeded estimator on the tagged
+   adaptive policy. *)
+let served_row = "200 MC trials seeded adaptive, served path (n=64 m=16)"
+
 let indep_instance n m =
   uniform_instance (master_seed + 123) ~n ~m ~lo:0.1 ~hi:0.9
     (Suu_dag.Dag.empty n)
@@ -25,9 +33,9 @@ let tests () =
   let pseudos = Suu_algo.Rounding.chain_pseudos chain_inst integral in
   let big_tree = Suu_dag.Gen.binary_out_tree ~n:1023 in
   let policy = Suu_algo.Suu_i.policy inst64 in
-  (* Oblivious regimen on the same instance: exercises the engine's
-     geometric-leapfrog fast path (the adaptive policy above exercises
-     the naive stepper). *)
+  (* Oblivious regimen on the same instance: the estimators run it
+     through the vectorized column kernel, the adaptive policy above
+     through the greedy one. *)
   let obl_policy = Suu_algo.Suu_i_obl.policy inst64 in
   let tiny = indep_instance 8 2 in
   [
@@ -52,11 +60,12 @@ let tests () =
            Suu_sim.Engine.run (Rng.create 5) inst64 policy));
     Test.make ~name:"malewicz dp n=8 m=2"
       (Staged.stage (fun () -> Suu_algo.Malewicz.optimal_value tiny));
-    (* The two [estimate_makespan] rows now route through the vectorized
-       Lanes kernel (63 trials per word); the scalar rows below them run
-       the same 200 trials through the per-trial paths, so the
-       vector-vs-scalar ratio is visible in every PERF table (and gated:
-       PERF-GATE fails below 4x). *)
+    (* Every estimator runs tagged policies through the vectorized Lanes
+       kernel (63 trials per word). The scalar rows run the same 200
+       trials of an untagged copy of the same policy, which the
+       estimators can only step trial by trial, so the vector-vs-scalar
+       ratio is visible in every PERF table (and gated: PERF-GATE fails
+       below 4x). *)
     Test.make ~name:"200 MC trials sequential (n=64 m=16)"
       (Staged.stage (fun () ->
            Suu_sim.Engine.estimate_makespan ~trials:200 (Rng.create 3) inst64
@@ -65,23 +74,26 @@ let tests () =
       (Staged.stage (fun () ->
            Suu_sim.Engine.estimate_makespan ~trials:200 (Rng.create 3) inst64
              policy));
+    Test.make ~name:served_row
+      (Staged.stage (fun () ->
+           Suu_sim.Engine.estimate_makespan_seeded ~trials:200 ~seed:3 inst64
+             policy));
     Test.make ~name:"200 MC trials scalar range adaptive (n=64 m=16)"
       (Staged.stage (fun () ->
            Suu_sim.Engine.estimate_makespan_range ~seed:3 ~lo:0 ~hi:200 inst64
-             policy));
+             (untagged policy)));
     Test.make ~name:"200 MC trials scalar seeded oblivious (n=64 m=16)"
       (Staged.stage (fun () ->
            Suu_sim.Engine.estimate_makespan_seeded ~trials:200 ~seed:3 inst64
-             obl_policy));
+             (untagged obl_policy)));
     (* Matched pair for the observability gate: the seeded estimator
-       carries the ?observer seam and the engine counters; left disabled
-       it must price the same as the scalar range row above, which runs
-       the identical per-trial stepper without the seam (PERF-GATE
-       asserts the ratio). *)
+       carries the ?observer seam; left disabled it must price the same
+       as the scalar range row above, which runs the identical word loop
+       and stepper without the seam (PERF-GATE asserts the ratio). *)
     Test.make ~name:"200 MC trials seeded adaptive, observer off (n=64 m=16)"
       (Staged.stage (fun () ->
            Suu_sim.Engine.estimate_makespan_seeded ~trials:200 ~seed:3 inst64
-             policy));
+             (untagged policy)));
     Test.make ~name:"200 MC trials on 4 domains (n=64 m=16)"
       (Staged.stage (fun () ->
            Suu_sim.Engine.estimate_makespan_parallel ~domains:4 ~trials:200
@@ -244,14 +256,15 @@ let run () =
    recorded rows as an extra round, so the uploaded artifact is itself
    gated. Exits nonzero on failure so the CI perf-smoke job turns red.
 
-   1. Observer seam: the seeded adaptive row carries the ?observer seam
-      and the engine counters; with no observer armed it must price
-      within SUU_PERF_GATE_PCT (default 2%) of the scalar range row,
-      which runs the identical per-trial stepper without the seam.
+   1. Observer seam: the seeded adaptive row carries the ?observer seam;
+      with no observer armed it must price within SUU_PERF_GATE_PCT
+      (default 2%) of the scalar range row, which runs the identical
+      word loop and stepper (both on the untagged policy) without it.
    2. Vectorized kernel: the trial-batched [estimate_makespan] rows
-      (adaptive greedy and oblivious) must beat their scalar per-trial
-      counterparts by at least SUU_PERF_VECTOR_GATE x (default 4; the
-      measured margin is well above — see EXPERIMENTS.md). *)
+      (adaptive greedy and oblivious) and the served seeded row must
+      beat their scalar counterparts on the untagged policy by at least
+      SUU_PERF_VECTOR_GATE x (default 4; the measured margin is well
+      above — see EXPERIMENTS.md). *)
 
 let scalar_adaptive_row = "200 MC trials scalar range adaptive (n=64 m=16)"
 let seeded_row = "200 MC trials seeded adaptive, observer off (n=64 m=16)"
@@ -331,8 +344,12 @@ let gate () =
     | row when String.equal row scalar_adaptive_row ->
         time row (fun () ->
             Suu_sim.Engine.estimate_makespan_range ~seed:3 ~lo:0 ~hi:200 inst64
-              policy)
+              (untagged policy))
     | row when String.equal row seeded_row ->
+        time row (fun () ->
+            Suu_sim.Engine.estimate_makespan_seeded ~trials:200 ~seed:3 inst64
+              (untagged policy))
+    | row when String.equal row served_row ->
         time row (fun () ->
             Suu_sim.Engine.estimate_makespan_seeded ~trials:200 ~seed:3 inst64
               policy)
@@ -347,7 +364,7 @@ let gate () =
     | row when String.equal row scalar_oblivious_row ->
         time row (fun () ->
             Suu_sim.Engine.estimate_makespan_seeded ~trials:200 ~seed:3 inst64
-              obl_policy)
+              (untagged obl_policy))
     | row -> invalid_arg ("perf-gate: unknown row " ^ row)
   in
   let failures = ref 0 in
@@ -409,5 +426,6 @@ let gate () =
     [
       ("adaptive", scalar_adaptive_row, vector_adaptive_row);
       ("oblivious", scalar_oblivious_row, vector_oblivious_row);
+      ("seeded adaptive (served path)", scalar_adaptive_row, served_row);
     ];
   if !failures > 0 then exit 1

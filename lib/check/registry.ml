@@ -367,15 +367,16 @@ let exact_vs_mc =
                 mean exact tol trials
             else Pass)
 
-(* --- 9. leapfrog vs naive stepper ---------------------------------- *)
+(* --- 9. geometric skips vs naive stepper ---------------------------- *)
 
 let leapfrog_vs_naive =
   Property.make ~name:"leapfrog-vs-naive"
     ~sizes:{ Gen.small with max_jobs = 5; min_prob = 0.15 }
     ~doc:
-      "on a random oblivious schedule, both the geometric leapfrog sampler \
-       and the naive unit stepper match the exact makespan CDF uniformly \
-       (DKW at confidence 1 − 1e-9)"
+      "on a random oblivious schedule, both the seeded estimator's \
+       vectorized column kernel (whose per-lane geometric skips generalise \
+       the leapfrog sampler) and the naive unit stepper match the exact \
+       makespan CDF uniformly (DKW at confidence 1 − 1e-9)"
     (fun case ->
       let inst = Case.instance case in
       let rng = Case.aux_rng case in
@@ -414,11 +415,11 @@ let lanes_vs_exact =
   Property.make ~name:"lanes-vs-exact"
     ~sizes:{ Gen.small with max_jobs = 5; min_prob = 0.15 }
     ~doc:
-      "the trial-batched vectorized kernel (which estimate_makespan routes \
-       structurally-tagged policies through) matches the exact makespan CDF \
-       uniformly (DKW at confidence 1 − 1e-9) for both vectorizable shapes: \
-       the greedy pair scan against the Markov-chain regimen CDF and a \
-       random oblivious schedule against the schedule CDF"
+      "the trial-batched vectorized kernel, run word-seeded through \
+       estimate_makespan_seeded (the served path), matches the exact \
+       makespan CDF uniformly (DKW at confidence 1 − 1e-9) for both \
+       vectorizable shapes: the greedy pair scan against the Markov-chain \
+       regimen CDF and a random oblivious schedule against the schedule CDF"
     (fun case ->
       let inst = Case.instance case in
       let rng = Case.aux_rng case in
@@ -426,9 +427,8 @@ let lanes_vs_exact =
       let trials = 3000 in
       let sampler name policy exact =
         let e =
-          Engine.estimate_makespan ~max_steps:horizon ~trials
-            (Rng.create (Rng.int rng 1_000_000))
-            inst policy
+          Engine.estimate_makespan_seeded ~max_steps:horizon ~trials
+            ~seed:(Rng.int rng 1_000_000) inst policy
         in
         let emp = Oracle.empirical_cdf e ~horizon in
         let sup = Oracle.sup_distance emp exact in
@@ -458,21 +458,28 @@ let lanes_vs_exact =
 
 (* --- 10. parallel estimator identity ------------------------------- *)
 
+(* The three estimator shapes the word loop serves, picked by the case:
+   the greedy kernel, the oblivious column kernel and (untagged) the
+   naive stepper. *)
+let word_policy case inst =
+  match case.Case.aux_seed mod 3 with
+  | 0 -> Suu_i.policy inst
+  | 1 -> Policy.of_oblivious "suu-i-obl" (Suu_i_obl.schedule inst)
+  | _ -> Policy.make "suu-i-untagged" (Suu_i.policy inst).Policy.fresh
+
 let parallel_vs_seeded =
   Property.make ~name:"parallel-vs-seeded"
     ~sizes:{ Gen.default with min_prob = 0.05 }
     ~doc:
       "the multicore estimator is bit-identical to the sequential seeded \
-       one (and the seeded one to itself) for adaptive and oblivious \
+       one (and the seeded one to itself) over several 63-trial words \
+       shared among 3 domains, for adaptive, oblivious and untagged \
        policies alike" (fun case ->
       let inst = Case.instance case in
       let rng = Case.aux_rng case in
-      let policy =
-        if case.Case.aux_seed mod 2 = 0 then Suu_i.policy inst
-        else Policy.of_oblivious "suu-i-obl" (Suu_i_obl.schedule inst)
-      in
+      let policy = word_policy case inst in
       let seed = Rng.int rng 1_000_000 in
-      let trials = 48 in
+      let trials = 200 in
       let a = Engine.estimate_makespan_seeded ~trials ~seed inst policy in
       let b =
         Engine.estimate_makespan_parallel ~domains:3 ~trials ~seed inst policy
@@ -688,30 +695,30 @@ let split_merge =
   Property.make ~name:"split-merge"
     ~sizes:{ Gen.default with min_prob = 0.05 }
     ~doc:
-      "a seeded estimate split into trial ranges and merged \
+      "a seeded estimate split into three trial ranges and merged \
        (estimate_makespan_range + merge_ranges — the sharding \
        coordinator's fan-out) is bit-identical to the unsplit run: \
-       samples, incomplete count, mean and ci95 all match for adaptive \
-       and oblivious policies alike, at any split point" (fun case ->
+       samples, incomplete count, mean and ci95 all match for adaptive, \
+       oblivious and untagged policies alike, at any split points — \
+       including cuts inside a 63-trial word" (fun case ->
       let inst = Case.instance case in
       let rng = Case.aux_rng case in
-      let policy =
-        if case.Case.aux_seed mod 2 = 0 then Suu_i.policy inst
-        else Policy.of_oblivious "suu-i-obl" (Suu_i_obl.schedule inst)
-      in
+      let policy = word_policy case inst in
       let seed = Rng.int rng 1_000_000 in
-      let trials = 32 in
-      let k = 1 + Rng.int rng (trials - 1) in
+      let trials = 150 in
+      let k1 = 1 + Rng.int rng (trials - 2) in
+      let k2 = k1 + 1 + Rng.int rng (trials - k1 - 1) in
       let full = Engine.estimate_makespan_seeded ~trials ~seed inst policy in
       let max_steps = Engine.default_horizon inst in
-      let lo_part = Engine.estimate_makespan_range ~seed ~lo:0 ~hi:k inst policy in
-      let hi_part =
-        Engine.estimate_makespan_range ~seed ~lo:k ~hi:trials inst policy
+      let part lo hi = Engine.estimate_makespan_range ~seed ~lo ~hi inst policy in
+      let merged =
+        Engine.merge_ranges ~max_steps
+          [ part 0 k1; part k1 k2; part k2 trials ]
       in
-      let merged = Engine.merge_ranges ~max_steps [ lo_part; hi_part ] in
       let bits e = Array.map Int64.bits_of_float e.Engine.samples in
       if bits merged <> bits full then
-        failf "merged samples differ from the unsplit run (split at %d)" k
+        failf "merged samples differ from the unsplit run (split at %d, %d)"
+          k1 k2
       else if merged.Engine.incomplete <> full.Engine.incomplete then
         Fail "merged incomplete count differs from the unsplit run"
       else if merged.Engine.trials <> full.Engine.trials then
@@ -781,13 +788,14 @@ let shard_heal =
       in
       let lines =
         [
-          solve ~trials:24 ~seed:3 "a";
-          (* above the split threshold: exercises sub-job re-dispatch *)
+          solve ~trials:100 ~seed:3 "a";
+          (* above the split threshold: exercises sub-job re-dispatch;
+             the two 50-trial sub-jobs share the 63-trial word 0 *)
           solve ~trials:8 ~seed:1 "b";
-          solve ~trials:24 ~seed:3 "a2";
+          solve ~trials:100 ~seed:3 "a2";
           (* repeat of a: a shard cache hit, scrubbed below *)
           solve ~trials:8 ~seed:2 "c";
-          solve ~trials:24 ~seed:9 "d";
+          solve ~trials:100 ~seed:9 "d";
           solve ~trials:8 ~seed:4 "e";
         ]
       in
@@ -808,7 +816,7 @@ let shard_heal =
           Coordinator.default_config with
           Coordinator.shards = 2;
           split_threshold = 16;
-          chunk_trials = 12;
+          chunk_trials = 50;
           sub_inflight = 2;
           retries = 12;
           retry_backoff_ms = 0.1;
@@ -1101,7 +1109,7 @@ let churn_mask =
       "executing a random oblivious schedule under a churn timeline agrees \
        with the exact makespan CDF of the Churn.mask'ed schedule uniformly \
        (DKW at confidence 1 − 1e-9), on both the gated naive stepper and \
-       the estimators' masked leapfrog/vectorized fast path"
+       the estimators' masked vectorized fast path"
     (fun case ->
       let inst = Case.instance case in
       let rng = Case.aux_rng case in
@@ -1135,7 +1143,7 @@ let churn_mask =
       | Some msg -> Fail msg
       | None -> (
           (* Tagged policy: the estimators mask the schedule at compile
-             time and serve it at full leapfrog/vectorized speed. *)
+             time and serve it at full vectorized speed. *)
           match check "masked fast path" (Policy.of_oblivious "churn-obl" sched) 1200 with
           | Some msg -> Fail msg
           | None -> Pass))

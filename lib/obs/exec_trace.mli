@@ -25,7 +25,7 @@ type step = {
 
 type trial = {
   index : int;  (** trial number within the estimator call *)
-  seed : int;  (** the per-trial seed the engine derived *)
+  seed : int;  (** the seed the engine replayed this trial from *)
   makespan : int;  (** steps to completion ([max_steps] if truncated) *)
   truncated : bool;
   steps : step list;  (** chronological; at most [limit] of them *)

@@ -18,6 +18,15 @@ let int64 rng =
 
 let split rng = { state = mix64 (int64 rng) }
 
+(* Output [k] of [create seed]'s stream, computed in O(1): the Weyl
+   state after [k + 1] advances, mixed. *)
+let derive seed k =
+  Int64.to_int
+    (mix64
+       (Int64.add
+          (mix64 (Int64.of_int seed))
+          (Int64.mul (Int64.of_int (k + 1)) golden_gamma)))
+
 (* Non-negative 63-bit value, suitable for modular reduction on OCaml ints. *)
 let bits63 rng = Int64.to_int (Int64.shift_right_logical (int64 rng) 1)
 

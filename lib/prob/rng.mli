@@ -24,6 +24,13 @@ val split : t -> t
 (** [split rng] advances [rng] and returns a fresh generator whose stream is
     (statistically) independent of the remainder of [rng]'s stream. *)
 
+val derive : int -> int -> int
+(** [derive seed k] is a seed for substream [k] of [seed]: the [k]-th
+    output (0-based) of [create seed], computed without stepping the
+    first [k]. Distinct [k] give splitmix64-decorrelated seeds, so
+    [create (derive seed k)] hands out independent streams indexed by
+    [k]. *)
+
 val int64 : t -> int64
 (** Next raw 64-bit output. *)
 

@@ -135,7 +135,7 @@ val cache_key : t -> string option
     and [exact]; [None] for the
     uncacheable ops ([info] is cheap, [ping] and [stats] are
     time-varying). Requests with equal keys are guaranteed identical
-    answers by the per-trial seeding discipline
+    answers by the per-word seeding discipline
     ({!Suu_sim.Engine.estimate_makespan_seeded}). *)
 
 val sub_line : t -> lo:int -> hi:int -> string

@@ -24,7 +24,7 @@
     Workers estimate makespans with
     {!Suu_sim.Engine.estimate_makespan_seeded} (or, when
     [estimate_domains > 1], its bit-identical parallel counterpart),
-    whose per-trial RNG derivation makes an answer a pure function of
+    whose per-word RNG derivation makes an answer a pure function of
     the request — not of worker count, estimate fan-out, scheduling, or
     cache state. A cache hit therefore returns byte-identical result
     fields to a recomputation.
@@ -33,9 +33,9 @@
 
     A request's budget ([deadline_ms], or the configured default) is
     measured from admission. It is checked when a worker picks the
-    request up and between Monte-Carlo trials, so a pathological
-    instance cannot wedge a worker beyond one trial (itself bounded by
-    the engine's horizon). Expired requests answer
+    request up and between Monte-Carlo words (63 trials each), so a
+    pathological instance cannot wedge a worker beyond one word (itself
+    bounded by the engine's horizon). Expired requests answer
     [{"status":"timeout",…}].
 
     {2 Fault tolerance}
@@ -132,8 +132,8 @@ val report_to_prom : ?workers:int -> report -> string
     cache/queue gauges (plus a [suu_workers] gauge when [workers] is
     given), the full ok-latency histogram with cumulative [le] buckets,
     and the engine's process-wide counters
-    ({!Suu_sim.Engine.counters} — trials run, steps simulated, leapfrog
-    trials and steps skipped). Served by the [stats] request's
+    ({!Suu_sim.Engine.counters} — trials run, steps simulated, vector
+    words, early stops). Served by the [stats] request's
     [format:"prom"] variant and by [suu serve --stats-format prom]'s
     shutdown dump. *)
 

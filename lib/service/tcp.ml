@@ -57,28 +57,66 @@ let listen text =
 
 type conn = {
   fd : Unix.file_descr;
-  rbuf : Buffer.t;  (* bytes read but not yet returned as lines *)
-  chunk : bytes;
+  (* Bytes read but not yet returned as lines live in [buf.[start, stop)];
+     [buf.[start, scanned)] is known to hold no newline, so each byte is
+     scanned once however many reads a long line takes. *)
+  mutable buf : bytes;
+  mutable start : int;
+  mutable scanned : int;
+  mutable stop : int;
   (* Close exactly once: after {!tear} or {!close} the fd number may be
      recycled by a concurrent dial (in-process tests share one fd
      table), and a second close would kill an innocent socket. *)
   mutable closed : bool;
 }
 
+let read_size = 4096
+
 let conn_of_fd fd =
-  { fd; rbuf = Buffer.create 4096; chunk = Bytes.create 4096; closed = false }
+  {
+    fd;
+    buf = Bytes.create (2 * read_size);
+    start = 0;
+    scanned = 0;
+    stop = 0;
+    closed = false;
+  }
 
 let take_line c =
-  let s = Buffer.contents c.rbuf in
-  match String.index_opt s '\n' with
-  | None -> None
+  let rec find i =
+    if i >= c.stop then None
+    else if Bytes.unsafe_get c.buf i = '\n' then Some i
+    else find (i + 1)
+  in
+  match find c.scanned with
+  | None ->
+      c.scanned <- c.stop;
+      None
   | Some i ->
-      Buffer.clear c.rbuf;
-      Buffer.add_substring c.rbuf s (i + 1) (String.length s - i - 1);
       (* Tolerate CRLF framing from foreign peers. *)
-      let line = if i > 0 && s.[i - 1] = '\r' then String.sub s 0 (i - 1)
-                 else String.sub s 0 i in
+      let e = if i > c.start && Bytes.get c.buf (i - 1) = '\r' then i - 1 else i in
+      let line = Bytes.sub_string c.buf c.start (e - c.start) in
+      c.start <- i + 1;
+      c.scanned <- i + 1;
       Some line
+
+(* Make room for a [read_size] read at [stop]: slide the pending bytes
+   to the front while they fill at most half the buffer, else double it
+   — either way each byte is copied O(1) times amortised. *)
+let reserve c =
+  let cap = Bytes.length c.buf in
+  if c.stop + read_size > cap then begin
+    let live = c.stop - c.start in
+    let buf =
+      if live + read_size <= cap / 2 then c.buf
+      else Bytes.create (max (2 * cap) (live + read_size))
+    in
+    Bytes.blit c.buf c.start buf 0 live;
+    c.buf <- buf;
+    c.scanned <- c.scanned - c.start;
+    c.stop <- live;
+    c.start <- 0
+  end
 
 (* One framed line, or None on clean EOF. Read errors (reset, timeout
    when SO_RCVTIMEO is armed) raise Unix_error for the caller's
@@ -87,13 +125,14 @@ let rec recv_line c =
   match take_line c with
   | Some line -> Some line
   | None -> (
-      match Unix.read c.fd c.chunk 0 (Bytes.length c.chunk) with
+      reserve c;
+      match Unix.read c.fd c.buf c.stop (Bytes.length c.buf - c.stop) with
       | 0 ->
           (* EOF: a trailing unterminated fragment is dropped — the
              protocol is strictly line-framed. *)
           None
       | n ->
-          Buffer.add_subbytes c.rbuf c.chunk 0 n;
+          c.stop <- c.stop + n;
           recv_line c
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> recv_line c)
 

@@ -4,8 +4,12 @@ let auto_chunk ~trials ~shards =
   (* Four chunks per shard: enough slack that a slow shard sheds work to
      the others through the job queue, without per-chunk overhead
      dominating. Ceiling division so the chunk count never exceeds
-     4 * shards. *)
-  max 1 ((trials + (4 * shards) - 1) / (4 * shards))
+     4 * shards. A chunk of at least one word is rounded up to whole
+     words: a seeded estimate simulates every 63-trial word a range
+     touches in full, so aligned ranges simulate no word twice. *)
+  let raw = max 1 ((trials + (4 * shards) - 1) / (4 * shards)) in
+  let word = Suu_sim.Lanes.lanes_per_word in
+  if raw < word then raw else (raw + word - 1) / word * word
 
 let plan ~trials ~chunk =
   if trials < 1 then invalid_arg "Dispatch.plan: trials < 1";

@@ -5,19 +5,15 @@ module Oblivious = Suu_core.Oblivious
 module Counters = Suu_obs.Counters
 module Exec_trace = Suu_obs.Exec_trace
 module Churn = Suu_dyn.Churn
+module Rng = Suu_prob.Rng
 
-(* Process-wide engine telemetry. Counters are bumped once or twice per
-   trial (never per step), so they are always on: two atomic adds
-   disappear against the cost of even the shortest trial, which is what
-   keeps the observer-disabled perf-smoke budget honest. *)
+(* Process-wide engine telemetry. Counters are bumped at most once per
+   trial or word (never per step), so they are always on: a few atomic
+   adds disappear against the cost of even the shortest trial, which is
+   what keeps the observer-disabled perf-smoke budget honest. *)
 let counters = Counters.create ()
 let c_trials = Counters.make counters "engine_trials_total"
 let c_steps = Counters.make counters "engine_steps_simulated_total"
-let c_leap_trials = Counters.make counters "engine_leapfrog_trials_total"
-
-let c_leap_steps =
-  Counters.make counters "engine_leapfrog_steps_skipped_total"
-
 let c_vector_words = Counters.make counters "engine_vector_words_total"
 let c_early_stops = Counters.make counters "engine_early_stops_total"
 
@@ -33,6 +29,10 @@ let default_horizon inst =
     (* Keep the cap sane even for tiny pmin. *)
     Float.to_int (Float.min bound 5e7) + 64
   end
+
+let resolve_max_steps inst = function
+  | Some v -> v
+  | None -> default_horizon inst
 
 (* Mutable execution arena shared by [run], [trace] and the estimators.
    One arena serves every trial of an estimate: [exec_reset] restores it
@@ -183,8 +183,11 @@ let exec_completed_list ex =
   done;
   !acc
 
-(* Run one realisation on an already-reset arena. *)
-let run_exec ~max_steps rng ex policy =
+(* Run one realisation on an already-reset arena. [on_step t a] sees
+   each executed step's assignment after its draws, with the step's
+   completions still in [ex.completed_buf]; it draws nothing. *)
+let run_exec ?(on_step = fun (_ : int) (_ : Assignment.t) -> ()) ~max_steps
+    rng ex policy =
   let decide = policy.Policy.fresh () in
   let t = ref 0 in
   while ex.remaining > 0 && !t < max_steps do
@@ -194,35 +197,24 @@ let run_exec ~max_steps rng ex policy =
     in
     let a = decide state in
     exec_step rng ex !t a;
+    on_step !t a;
     incr t
   done;
   { makespan = !t; completed = ex.remaining = 0 }
 
 let run ?max_steps ?releases ?availability rng inst policy =
-  let max_steps =
-    match max_steps with Some v -> v | None -> default_horizon inst
-  in
+  let max_steps = resolve_max_steps inst max_steps in
   let ex = exec_create ?releases ?churn:availability inst in
   run_exec ~max_steps rng ex policy
 
 let trace ?max_steps ?releases ?availability rng inst policy =
-  let max_steps =
-    match max_steps with Some v -> v | None -> default_horizon inst
-  in
+  let max_steps = resolve_max_steps inst max_steps in
   let ex = exec_create ?releases ?churn:availability inst in
-  let decide = policy.Policy.fresh () in
   let history = ref [] in
-  let t = ref 0 in
-  while ex.remaining > 0 && !t < max_steps do
-    exec_release_due ex !t;
-    let state =
-      { Policy.step = !t; unfinished = ex.unfinished; eligible = ex.eligible }
-    in
-    let a = decide state in
-    exec_step rng ex !t a;
-    history := (!t, Array.copy a, exec_completed_list ex) :: !history;
-    incr t
-  done;
+  let on_step t a =
+    history := (t, Array.copy a, exec_completed_list ex) :: !history
+  in
+  ignore (run_exec ~on_step ~max_steps rng ex policy : outcome);
   List.rev !history
 
 type estimate = {
@@ -242,144 +234,41 @@ let finish_estimate ~max_steps ~trials ~incomplete samples =
   in
   { stats; trials; incomplete; samples }
 
-(* --- per-trial machinery shared by the three estimators --- *)
+(* --- observed replays --------------------------------------------------- *)
 
-(* One reusable trial runner: the naive stepping arena for general
-   policies, the compiled leapfrog plan for oblivious ones. Either way,
-   all per-trial state is preallocated once per (estimate, domain). *)
-type runner =
-  | Stepper of exec * Policy.t
-  | Leap of Leapfrog.t * Oblivious.t
-      (** the schedule rides along so observed trials can reconstruct
-          per-step assignments without re-deriving them from the plan *)
+(* Re-run one trial on a reset stepping arena while capturing its
+   step-by-step history (at most [limit] steps). For an oblivious policy
+   the recorded assignment is the decided schedule column, which is what
+   [trace] records too. *)
+let run_trial_observed ex policy rng ~max_steps ~limit =
+  exec_reset ex;
+  let steps = ref [] in
+  let recorded = ref 0 in
+  let on_step t a =
+    if !recorded < limit then begin
+      steps :=
+        {
+          Exec_trace.t = t + 1;
+          assignment = Array.copy a;
+          completed = exec_completed_list ex;
+        }
+        :: !steps;
+      incr recorded
+    end
+  in
+  let o = run_exec ~on_step ~max_steps rng ex policy in
+  Counters.add c_steps o.makespan;
+  (o, List.rev !steps)
 
-let make_runner ?releases ?availability inst policy =
-  let churn = check_availability inst availability in
-  match Policy.oblivious policy with
-  | Some sched ->
-      (* Fold churn into the schedule itself: the masked schedule idles
-         down machines, so the unchurned leapfrog sampler over it draws
-         exactly the surviving (machine, step) attempts. *)
-      let sched =
-        match churn with None -> sched | Some c -> Churn.mask c sched
-      in
-      Leap (Leapfrog.prepare ?releases inst sched, sched)
-  | None -> Stepper (exec_create ?releases ?churn inst, policy)
-
-let run_trial runner rng ~max_steps =
-  Counters.incr c_trials;
-  match runner with
-  | Stepper (ex, policy) ->
-      exec_reset ex;
-      let o = run_exec ~max_steps rng ex policy in
-      Counters.add c_steps o.makespan;
-      o
-  | Leap (leap, _) ->
-      let makespan, completed = Leapfrog.run leap rng ~max_steps in
-      Counters.incr c_leap_trials;
-      Counters.add c_leap_steps makespan;
-      { makespan; completed }
-
-(* Run one trial while capturing its step-by-step history (at most
-   [limit] steps). RNG consumption is bit-identical to [run_trial]:
-
-   - Stepper: the loop below performs exactly [run_exec]'s draw sequence
-     and records {e after} each [exec_step], so observation cannot
-     perturb the stream.
-   - Leap: the geometric draws are untouched; [reset_completions] draws
-     nothing, and the per-step history is {e reconstructed} afterwards
-     from the completion arena plus the schedule itself — the recorded
-     assignment at step [t] is [Oblivious.step sched t] verbatim, which
-     is precisely what [trace]'s naive stepper records for an oblivious
-     policy (the decided assignment, completed jobs included). *)
-let run_trial_observed runner rng ~max_steps ~limit =
-  Counters.incr c_trials;
-  match runner with
-  | Stepper (ex, policy) ->
-      exec_reset ex;
-      let decide = policy.Policy.fresh () in
-      let steps = ref [] in
-      let recorded = ref 0 in
-      let t = ref 0 in
-      while ex.remaining > 0 && !t < max_steps do
-        exec_release_due ex !t;
-        let state =
-          {
-            Policy.step = !t;
-            unfinished = ex.unfinished;
-            eligible = ex.eligible;
-          }
-        in
-        let a = decide state in
-        exec_step rng ex !t a;
-        if !recorded < limit then begin
-          steps :=
-            {
-              Exec_trace.t = !t + 1;
-              assignment = Array.copy a;
-              completed = exec_completed_list ex;
-            }
-            :: !steps;
-          incr recorded
-        end;
-        incr t
-      done;
-      Counters.add c_steps !t;
-      ({ makespan = !t; completed = ex.remaining = 0 }, List.rev !steps)
-  | Leap (leap, sched) ->
-      Leapfrog.reset_completions leap;
-      let makespan, completed = Leapfrog.run leap rng ~max_steps in
-      Counters.incr c_leap_trials;
-      Counters.add c_leap_steps makespan;
-      let comp = Leapfrog.completions leap in
-      let upto = min makespan limit in
-      (* Bucket sampled completions by step within the recorded window
-         (completions past [limit] are dropped, like the stepper's). *)
-      let compl = Array.make (max upto 1) [] in
-      Array.iteri
-        (fun j c ->
-          if c <> Leapfrog.never && c < upto then compl.(c) <- j :: compl.(c))
-        comp;
-      let steps =
-        List.init upto (fun t ->
-            {
-              Exec_trace.t = t + 1;
-              assignment = Array.copy (Oblivious.step sched t);
-              completed = compl.(t);
-            })
-      in
-      ({ makespan; completed }, steps)
-
-(* Samples are collected into a preallocated buffer in trial order
-   (slot k of the buffer is the k-th completed trial). *)
-type collector = {
-  buf : float array;
-  mutable filled : int;
-  mutable truncated : int;
-}
-
-let collector trials = { buf = Array.make trials 0.; filled = 0; truncated = 0 }
-
-let collect c (o : outcome) =
-  if o.completed then begin
-    c.buf.(c.filled) <- Float.of_int o.makespan;
-    c.filled <- c.filled + 1
-  end
-  else c.truncated <- c.truncated + 1
-
-let collector_samples c = Array.sub c.buf 0 c.filled
-
-(* Same per-trial seed mixing everywhere: the stream of trial [k] is a
-   pure function of [(seed, k)], so seeded and parallel estimates agree
-   sample-for-sample at any domain count. *)
+(* The seed an observed replay of trial [k] runs on — what
+   [Exec_trace.trial.seed] records. *)
 let trial_seed seed k = seed lxor ((k + 1) * 0x9E3779B1)
 
 (* --- CI-width sequential stopping ------------------------------------ *)
 
 (* Running Welford accumulator over completed samples, checked only at
-   whole-word boundaries (the vectorized batch size, so scalar and
-   vectorized estimators stop at the same trial counts). The half-width
-   mirrors [Stats.summarize]: 1.96 * sqrt(m2 / (n-1)) / sqrt(n). *)
+   whole-word boundaries. The half-width mirrors [Stats.summarize]:
+   1.96 * sqrt(m2 / (n-1)) / sqrt(n). *)
 type ci_acc = { mutable cnt : int; mutable mean : float; mutable m2 : float }
 
 let ci_acc () = { cnt = 0; mean = 0.; m2 = 0. }
@@ -400,106 +289,163 @@ let check_ci_target = function
   | Some c when not (c > 0.) -> invalid_arg "Engine: ci_target must be > 0"
   | _ -> ()
 
+(* --- the word loop ------------------------------------------------------ *)
+
 let word = Lanes.lanes_per_word
+
+(* Where a word's randomness comes from. [Seeded seed]: word [w]
+   (trials [63w .. 63w+62]) runs on the stream [Rng.derive seed w],
+   whoever runs it and whichever of its lanes are kept — the unit of
+   determinism of the seeded, range and parallel estimators.
+   [Sequential rng]: words take their seeds from the caller's generator
+   in order ([estimate_makespan]). *)
+type source = Seeded of int | Sequential of Rng.t
+
+(* One domain's simulator: the compiled lanes kernel for structurally
+   tagged policies, the naive stepper's arena for the rest. *)
+type sim = Kernel of Lanes.t | Stepper of exec * Policy.t
+
+let make_sim ?releases ?availability inst policy =
+  match Lanes.create ?releases ?availability inst policy with
+  | Some k -> Kernel k
+  | None -> Stepper (exec_create ?releases ?churn:availability inst, policy)
+
+(* Simulate word [w] and store the makespans (-1 = truncated) of its
+   trials [a, b) at [out.(k - lo)], as floats — [out] becomes the
+   sample vector in place. A seeded kernel word always runs all
+   63 lanes — a lane's outcome depends on which lanes share its word —
+   and keeps only [a, b); stepper lanes are independent streams, so only
+   the kept ones run. *)
+let run_word sim source ~max_steps ~scratch ~w ~a ~b ~lo out =
+  let base = w * word in
+  match sim with
+  | Kernel k ->
+      let seed, lanes =
+        match source with
+        | Seeded s -> (Rng.derive s w, word)
+        | Sequential rng -> (Int64.to_int (Rng.int64 rng), b - base)
+      in
+      Lanes.run_word k ~seed ~max_steps ~lanes ~makespans:scratch;
+      Counters.incr c_vector_words;
+      for t = a to b - 1 do
+        out.(t - lo) <- Float.of_int scratch.(t - base)
+      done
+  | Stepper (ex, policy) ->
+      let lane_rng =
+        match source with
+        | Seeded s ->
+            let ws = Rng.derive s w in
+            fun k -> Rng.create (Rng.derive ws (k - base))
+        | Sequential rng -> fun _ -> rng
+      in
+      for k = a to b - 1 do
+        exec_reset ex;
+        let o = run_exec ~max_steps (lane_rng k) ex policy in
+        Counters.add c_steps o.makespan;
+        out.(k - lo) <- (if o.completed then Float.of_int o.makespan else -1.)
+      done
+
+exception Interrupted
+
+(* The estimator behind all four entry points: trials [lo, hi) in whole
+   words, self-scheduled across [domains] (the calling one included).
+   Per word: [on_trial] for each kept index in order, one [stop] poll,
+   the simulation, then — under a [ci_target] — a fold of the word into
+   the Welford accumulator in word order, which may cut the estimate at
+   that absolute word boundary. Words claimed past the cut are discarded,
+   so the result is the same at any domain count. *)
+let estimate_words ?releases ?availability ?ci_target ?(domains = 1)
+    ?(stop = fun () -> false) ?(on_trial = fun (_ : int) -> ()) ~max_steps
+    ~source ~lo ~hi inst policy =
+  check_ci_target ci_target;
+  let w0 = lo / word in
+  let nwords = ((hi - 1) / word) - w0 + 1 in
+  let span i = (max lo ((w0 + i) * word), min hi ((w0 + i + 1) * word)) in
+  let out = Array.make (hi - lo) 0. in
+  let next = Atomic.make 0 in
+  let cut = Atomic.make nwords in
+  let failure : exn option Atomic.t = Atomic.make None in
+  let fold =
+    match ci_target with
+    | None -> fun (_ : int) -> ()
+    | Some tgt ->
+        let mu = Mutex.create () in
+        let finished = Array.make nwords false in
+        let mark = ref 0 in
+        let acc = ci_acc () in
+        fun i ->
+          Mutex.protect mu (fun () ->
+              finished.(i) <- true;
+              while !mark < Atomic.get cut && finished.(!mark) do
+                let a, b = span !mark in
+                for k = a - lo to b - lo - 1 do
+                  if out.(k) >= 0. then ci_add acc out.(k)
+                done;
+                incr mark;
+                if !mark < nwords && ci_reached acc tgt then begin
+                  Atomic.set cut !mark;
+                  Counters.incr c_early_stops
+                end
+              done)
+  in
+  let worker () =
+    match make_sim ?releases ?availability inst policy with
+    | exception e -> ignore (Atomic.compare_and_set failure None (Some e))
+    | sim ->
+        let scratch = Array.make word 0 in
+        let continue = ref true in
+        while !continue && Atomic.get failure = None do
+          let i = Atomic.fetch_and_add next 1 in
+          if i >= Atomic.get cut then continue := false
+          else
+            try
+              let a, b = span i in
+              for k = a to b - 1 do
+                on_trial k
+              done;
+              if stop () then raise Interrupted;
+              run_word sim source ~max_steps ~scratch ~w:(w0 + i) ~a ~b ~lo out;
+              Counters.add c_trials (b - a);
+              fold i
+            with e ->
+              (* First failure wins; the other domains drain. *)
+              ignore (Atomic.compare_and_set failure None (Some e))
+        done
+  in
+  let handles =
+    List.init (min domains nwords - 1) (fun _ -> Domain.spawn worker)
+  in
+  worker ();
+  List.iter Domain.join handles;
+  Option.iter raise (Atomic.get failure);
+  let executed = snd (span (Atomic.get cut - 1)) - lo in
+  (* Compact the completed trials' makespans to the front, in order. *)
+  let filled = ref 0 in
+  for k = 0 to executed - 1 do
+    if out.(k) >= 0. then begin
+      out.(!filled) <- out.(k);
+      incr filled
+    end
+  done;
+  finish_estimate ~max_steps ~trials:executed ~incomplete:(executed - !filled)
+    (Array.sub out 0 !filled)
+
+(* --- entry points --------------------------------------------------------- *)
 
 let estimate_makespan ?max_steps ?releases ?availability ?ci_target ~trials rng
     inst policy =
   if trials < 1 then invalid_arg "Engine.estimate_makespan: trials < 1";
-  check_ci_target ci_target;
-  let max_steps =
-    match max_steps with Some v -> v | None -> default_horizon inst
-  in
-  let c = collector trials in
-  let acc = ci_acc () in
-  let executed = ref 0 in
-  let stopped = ref false in
-  (* Stop once the 95% CI half-width over completed samples dips below
-     the target — only at word boundaries, so both paths below agree on
-     where stopping is possible. *)
-  let check_stop () =
-    match ci_target with
-    | Some tgt when !executed < trials && ci_reached acc tgt ->
-        stopped := true;
-        Counters.incr c_early_stops
-    | _ -> ()
-  in
-  (match Lanes.create ?releases ?availability inst policy with
-  | Some k ->
-      (* Vectorized path: whole words of trials per kernel call, each
-         word seeded from the caller's generator. Distribution-equivalent
-         to the scalar path, not stream-equivalent. *)
-      let makespans = Array.make word 0 in
-      while (not !stopped) && !executed < trials do
-        let lanes = min word (trials - !executed) in
-        let seed = Int64.to_int (Suu_prob.Rng.int64 rng) in
-        Lanes.run_word k ~seed ~max_steps ~lanes ~makespans;
-        Counters.incr c_vector_words;
-        Counters.add c_trials lanes;
-        for l = 0 to lanes - 1 do
-          let mk = makespans.(l) in
-          if mk >= 0 then begin
-            let x = Float.of_int mk in
-            c.buf.(c.filled) <- x;
-            c.filled <- c.filled + 1;
-            ci_add acc x
-          end
-          else c.truncated <- c.truncated + 1
-        done;
-        executed := !executed + lanes;
-        check_stop ()
-      done
-  | None ->
-      let runner = make_runner ?releases ?availability inst policy in
-      while (not !stopped) && !executed < trials do
-        let o = run_trial runner rng ~max_steps in
-        if o.completed then ci_add acc (Float.of_int o.makespan);
-        collect c o;
-        incr executed;
-        if !executed mod word = 0 then check_stop ()
-      done);
-  finish_estimate ~max_steps ~trials:!executed ~incomplete:c.truncated
-    (collector_samples c)
+  estimate_words ?releases ?availability ?ci_target
+    ~max_steps:(resolve_max_steps inst max_steps)
+    ~source:(Sequential rng) ~lo:0 ~hi:trials inst policy
 
-exception Interrupted
-
-let estimate_makespan_range ?max_steps ?releases ?availability ?ci_target
-    ?(stop = fun () -> false) ?(on_trial = fun (_ : int) -> ()) ~seed ~lo ~hi
-    inst policy =
+let estimate_makespan_range ?max_steps ?releases ?availability ?ci_target ?stop
+    ?on_trial ~seed ~lo ~hi inst policy =
   if lo < 0 || hi <= lo then
     invalid_arg "Engine.estimate_makespan_range: need 0 <= lo < hi";
-  check_ci_target ci_target;
-  let max_steps =
-    match max_steps with Some v -> v | None -> default_horizon inst
-  in
-  let runner = make_runner ?releases ?availability inst policy in
-  let c = collector (hi - lo) in
-  let acc = ci_acc () in
-  let executed = ref 0 in
-  let stopped = ref false in
-  (* Absolute trial indices: trial [k] of the range draws from the very
-     generator trial [k] of a full run draws from, so contiguous ranges
-     concatenate into the full run's sample vector bit-for-bit. Stopping
-     boundaries are counted relative to [lo] — a deterministic property
-     of the range alone, independent of how the caller partitioned. *)
-  let k = ref lo in
-  while (not !stopped) && !k < hi do
-    if stop () then raise Interrupted;
-    on_trial !k;
-    let rng = Suu_prob.Rng.create (trial_seed seed !k) in
-    let o = run_trial runner rng ~max_steps in
-    if o.completed then ci_add acc (Float.of_int o.makespan);
-    collect c o;
-    incr executed;
-    incr k;
-    if !executed mod word = 0 then
-      match ci_target with
-      | Some tgt when !k < hi && ci_reached acc tgt ->
-          stopped := true;
-          Counters.incr c_early_stops
-      | _ -> ()
-  done;
-  finish_estimate ~max_steps ~trials:!executed ~incomplete:c.truncated
-    (collector_samples c)
+  estimate_words ?releases ?availability ?ci_target ?stop ?on_trial
+    ~max_steps:(resolve_max_steps inst max_steps)
+    ~source:(Seeded seed) ~lo ~hi inst policy
 
 let merge_ranges ~max_steps parts =
   if parts = [] then invalid_arg "Engine.merge_ranges: no parts";
@@ -509,57 +455,41 @@ let merge_ranges ~max_steps parts =
   finish_estimate ~max_steps ~trials ~incomplete samples
 
 let estimate_makespan_seeded ?max_steps ?releases ?availability ?ci_target
-    ?(stop = fun () -> false) ?(on_trial = fun (_ : int) -> ()) ?observer
-    ~trials ~seed inst policy =
+    ?stop ?on_trial ?observer ~trials ~seed inst policy =
   if trials < 1 then invalid_arg "Engine.estimate_makespan_seeded: trials < 1";
-  check_ci_target ci_target;
-  let max_steps =
-    match max_steps with Some v -> v | None -> default_horizon inst
+  let max_steps = resolve_max_steps inst max_steps in
+  let e =
+    estimate_words ?releases ?availability ?ci_target ?stop ?on_trial
+      ~max_steps ~source:(Seeded seed) ~lo:0 ~hi:trials inst policy
   in
-  let runner = make_runner ?releases ?availability inst policy in
-  let c = collector trials in
-  let acc = ci_acc () in
-  let stopped = ref false in
-  let k = ref 0 in
-  while (not !stopped) && !k < trials do
-    if stop () then raise Interrupted;
-    on_trial !k;
-    let rng = Suu_prob.Rng.create (trial_seed seed !k) in
-    let outcome =
-      match observer with
-      | Some o when Exec_trace.selects o !k ->
+  (* Observation is a side replay on the naive stepper: it never feeds
+     the estimate, so observing cannot perturb it. *)
+  Option.iter
+    (fun o ->
+      let ex = exec_create ?releases ?churn:availability inst in
+      for k = 0 to e.trials - 1 do
+        if Exec_trace.selects o k then begin
+          let seed = trial_seed seed k in
           let outcome, steps =
-            run_trial_observed runner rng ~max_steps ~limit:o.Exec_trace.limit
+            run_trial_observed ex policy (Rng.create seed) ~max_steps
+              ~limit:o.Exec_trace.limit
           in
           o.Exec_trace.emit
             {
-              Exec_trace.index = !k;
-              seed = trial_seed seed !k;
+              Exec_trace.index = k;
+              seed;
               makespan = outcome.makespan;
               truncated = not outcome.completed;
               steps;
-            };
-          outcome
-      | _ -> run_trial runner rng ~max_steps
-    in
-    if outcome.completed then ci_add acc (Float.of_int outcome.makespan);
-    collect c outcome;
-    incr k;
-    if !k mod word = 0 then
-      match ci_target with
-      | Some tgt when !k < trials && ci_reached acc tgt ->
-          stopped := true;
-          Counters.incr c_early_stops
-      | _ -> ()
-  done;
-  finish_estimate ~max_steps ~trials:!k ~incomplete:c.truncated
-    (collector_samples c)
+            }
+        end
+      done)
+    observer;
+  e
 
 let estimate_makespan_parallel ?max_steps ?releases ?availability ?domains
-    ?ci_target ?(stop = fun () -> false) ?(on_trial = fun (_ : int) -> ())
-    ~trials ~seed inst policy =
+    ?ci_target ?stop ?on_trial ~trials ~seed inst policy =
   if trials < 1 then invalid_arg "Engine.estimate_makespan_parallel: trials < 1";
-  check_ci_target ci_target;
   let domains =
     match domains with
     | Some d ->
@@ -568,118 +498,6 @@ let estimate_makespan_parallel ?max_steps ?releases ?availability ?domains
         d
     | None -> min 8 (Domain.recommended_domain_count ())
   in
-  let domains = min domains trials in
-  let max_steps =
-    match max_steps with Some v -> v | None -> default_horizon inst
-  in
-  let failure : exn option Atomic.t = Atomic.make None in
-  let not_run = -1. in
-  let slots = Array.make trials not_run in
-  let spawn_and_collect ~executed worker =
-    let handles = List.init (domains - 1) (fun _ -> Domain.spawn worker) in
-    worker ();
-    List.iter Domain.join handles;
-    (match Atomic.get failure with Some e -> raise e | None -> ());
-    let executed = executed () in
-    let c = collector executed in
-    for i = 0 to executed - 1 do
-      if slots.(i) = not_run then c.truncated <- c.truncated + 1
-      else begin
-        c.buf.(c.filled) <- slots.(i);
-        c.filled <- c.filled + 1
-      end
-    done;
-    finish_estimate ~max_steps ~trials:executed ~incomplete:c.truncated
-      (collector_samples c)
-  in
-  match ci_target with
-  | None ->
-      (* Chunked self-scheduling: workers claim trial indices from a
-         shared counter, so domains stay balanced even when trial lengths
-         vary wildly (one unlucky long trial no longer idles the other
-         domains of its static share). Per-trial seeding makes the result
-         a pure function of [(seed, trials)] regardless of which domain
-         runs which trial — bit-identical to [estimate_makespan_seeded]. *)
-      let next = Atomic.make 0 in
-      let worker () =
-        let runner = make_runner ?releases ?availability inst policy in
-        let continue = ref true in
-        while !continue && Atomic.get failure = None do
-          let k = Atomic.fetch_and_add next 1 in
-          if k >= trials then continue := false
-          else
-            try
-              if stop () then raise Interrupted;
-              on_trial k;
-              let rng = Suu_prob.Rng.create (trial_seed seed k) in
-              let o = run_trial runner rng ~max_steps in
-              (* Truncated trials keep the sentinel; distinct slots, so
-                 the concurrent writes never race. *)
-              if o.completed then slots.(k) <- Float.of_int o.makespan
-            with e ->
-              (* First failure wins; the others drain. *)
-              ignore (Atomic.compare_and_set failure None (Some e) : bool)
-        done
-      in
-      spawn_and_collect ~executed:(fun () -> trials) worker
-  | Some tgt ->
-      (* Word-granular self-scheduling: the CI fold consumes whole words
-         of trials in index order (under a mutex, as words complete), so
-         the stopping boundary is the same one the sequential seeded
-         estimator finds — words claimed beyond it are discarded, which
-         bounds the overshoot by the domain count. *)
-      let nwords = (trials + word - 1) / word in
-      let next = Atomic.make 0 in
-      let stop_word = Atomic.make max_int in
-      let mu = Mutex.create () in
-      let word_done = Array.make nwords false in
-      let watermark = ref 0 in
-      let acc = ci_acc () in
-      let fold_done_word w =
-        Mutex.lock mu;
-        word_done.(w) <- true;
-        while
-          !watermark < nwords
-          && word_done.(!watermark)
-          && Atomic.get stop_word = max_int
-        do
-          let base = !watermark * word in
-          let bound = min trials (base + word) in
-          for i = base to bound - 1 do
-            if slots.(i) <> not_run then ci_add acc slots.(i)
-          done;
-          incr watermark;
-          if bound < trials && ci_reached acc tgt then begin
-            Atomic.set stop_word !watermark;
-            Counters.incr c_early_stops
-          end
-        done;
-        Mutex.unlock mu
-      in
-      let worker () =
-        let runner = make_runner ?releases ?availability inst policy in
-        let continue = ref true in
-        while !continue && Atomic.get failure = None do
-          let w = Atomic.fetch_and_add next 1 in
-          if w >= nwords || w >= Atomic.get stop_word then continue := false
-          else
-            try
-              let base = w * word in
-              let bound = min trials (base + word) in
-              for k = base to bound - 1 do
-                if stop () then raise Interrupted;
-                on_trial k;
-                let rng = Suu_prob.Rng.create (trial_seed seed k) in
-                let o = run_trial runner rng ~max_steps in
-                if o.completed then slots.(k) <- Float.of_int o.makespan
-              done;
-              fold_done_word w
-            with e ->
-              ignore (Atomic.compare_and_set failure None (Some e) : bool)
-        done
-      in
-      spawn_and_collect
-        ~executed:(fun () ->
-          let sw = Atomic.get stop_word in
-          if sw = max_int then trials else min trials (sw * word))
-        worker
+  estimate_words ?releases ?availability ?ci_target ~domains ?stop ?on_trial
+    ~max_steps:(resolve_max_steps inst max_steps)
+    ~source:(Seeded seed) ~lo:0 ~hi:trials inst policy

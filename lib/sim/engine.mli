@@ -6,40 +6,38 @@
     finishes when at least one of its machines succeeds; eligibility
     updates at step boundaries.
 
-    {2 Hot path}
+    {2 Words}
 
-    The estimators reuse one mutable execution arena across all trials of
-    an estimate (reset, not reallocated), use an epoch-stamped scratch
-    array instead of a per-step hash table, and collect samples into a
-    preallocated buffer — the steady-state trial loop does not allocate.
-    For policies tagged {!Suu_core.Policy.Oblivious_schedule} the
-    estimators skip unit-step simulation entirely and sample completion
-    events geometrically ({!Leapfrog}); the resulting makespans are
-    distribution-equivalent to the naive stepper's but draw a different
-    (much shorter) RNG stream. [run] and [trace] always use the naive
-    stepper, and the naive stepper's Bernoulli draw sequence is stable
-    across versions, so seeded estimates of non-oblivious policies are
-    bit-reproducible.
+    All four estimators run one loop over {e words}: trials
+    [63w .. 63w+62] form word [w] ({!Lanes.lanes_per_word} trials).
+    Policies tagged {!Suu_core.Policy.Oblivious_schedule} or
+    {!Suu_core.Policy.Greedy_pairs} run a whole word per call of the
+    trial-batched {!Lanes} kernel; other policies run the naive stepper,
+    63 trials per word, on one reused execution arena. Both are
+    distribution-equivalent to {!run}, which (like {!trace}) always uses
+    the naive stepper.
 
-    {!estimate_makespan} additionally routes policies tagged
-    {!Suu_core.Policy.Oblivious_schedule} or
-    {!Suu_core.Policy.Greedy_pairs} through the trial-batched
-    {!Lanes} kernel — {!Lanes.lanes_per_word} trials per word of
-    word-wide bit operations, again distribution-equivalent but on its
-    own stream. The {e seeded} estimators never take that path: their
-    contract is bit-stability of the per-trial scalar draw sequence.
+    The word is the unit of determinism. In the seeded estimators word
+    [w] draws from one stream derived from [(seed, w)] by splitmix64
+    ({!Suu_prob.Rng.derive}); a stepper lane [l] of it from a stream
+    derived in turn from the word's seed and [l]. A kernel word always
+    simulates all 63 lanes — a lane's outcome depends on the lanes that
+    share its word — and an estimate keeps the lanes inside its trial
+    range. So the seeded estimate, the parallel one at any domain count
+    and {!merge_ranges} over any contiguous partition into ranges (word
+    aligned or not) are bit-identical, and depend only on
+    [(seed, trials)].
 
     {2 Sequential stopping}
 
     Every estimator accepts [?ci_target] (default: off). When set, the
-    estimate stops drawing trials at the first {e word boundary}
-    (multiples of {!Lanes.lanes_per_word} trials) where the 95% CI
-    half-width of the mean makespan over completed samples is at most
-    [ci_target]; the [trials] field of the result reports the executed
-    count. Checks happen only at word boundaries for every estimator, so
-    scalar and vectorized paths stop at identical trial counts, seeded
-    and parallel estimates stay bit-identical to each other, and a range
-    estimate stops at boundaries relative to its own [lo].
+    estimate stops drawing trials at the first {e absolute} word
+    boundary (a multiple of {!Lanes.lanes_per_word} counted from trial
+    0) where the 95% CI half-width of the mean makespan over its
+    completed samples is at most [ci_target]; the [trials] field of the
+    result reports the executed count. Seeded and parallel estimates
+    stop at the same boundary; a range folds only its own samples, so
+    its cut is a function of the range alone.
     @raise Invalid_argument if [ci_target <= 0]. *)
 
 type outcome = {
@@ -49,14 +47,12 @@ type outcome = {
 
 val counters : Suu_obs.Counters.t
 (** Process-wide engine telemetry, bumped by every estimator (at trial
-    granularity, from any domain): [engine_trials_total],
-    [engine_steps_simulated_total] (naive-stepper steps),
-    [engine_leapfrog_trials_total] and
-    [engine_leapfrog_steps_skipped_total] (steps the geometric sampler
-    never had to simulate), [engine_vector_words_total] (trial words the
-    vectorized {!Lanes} kernel executed) and [engine_early_stops_total]
-    (estimates cut short by a [ci_target]). The serving layer folds
-    these into its Prometheus exposition. *)
+    or word granularity, from any domain): [engine_trials_total] (trials
+    kept by estimates), [engine_steps_simulated_total] (naive-stepper
+    steps, observed replays included), [engine_vector_words_total]
+    (words the vectorized {!Lanes} kernel executed) and
+    [engine_early_stops_total] (estimates cut short by a [ci_target]).
+    The serving layer folds these into its Prometheus exposition. *)
 
 val default_horizon : Suu_core.Instance.t -> int
 (** A safe step cap: generous multiple of [n / p_min · (1 + ln n)], the
@@ -91,8 +87,8 @@ val run :
     to a down machine; the environment wastes it). The gated stepper on
     a schedule is draw-for-draw identical to the ungated stepper on
     {!Suu_dyn.Churn.mask} of that schedule, which is how the estimators
-    below serve oblivious policies under churn at full leapfrog and
-    vectorized speed. @raise Invalid_argument when the timeline's
+    below serve oblivious policies under churn at full vectorized
+    speed. @raise Invalid_argument when the timeline's
     machine count differs from the instance's. *)
 
 val trace :
@@ -129,12 +125,10 @@ val estimate_makespan :
   Suu_core.Policy.t ->
   estimate
 (** Expected-makespan estimate over (up to) [trials] independent
-    executions drawn sequentially from the given generator. Policies
-    with vectorizable structure run through the trial-batched {!Lanes}
-    kernel, one word seed drawn from the generator per
-    {!Lanes.lanes_per_word} trials; the result is then
-    distribution-equivalent (not bit-identical) to earlier scalar
-    versions of this estimator. *)
+    executions drawn sequentially from the given generator: a kernel
+    word takes its seed from the generator (a partial last word runs
+    only its lanes), a stepper trial draws from the generator itself,
+    trial after trial. *)
 
 exception Interrupted
 (** Raised by {!estimate_makespan_seeded}, {!estimate_makespan_range} and
@@ -154,17 +148,18 @@ val estimate_makespan_range :
   Suu_core.Policy.t ->
   estimate
 (** The trials [lo <= k < hi] of the seeded estimate with master seed
-    [seed] — the unit of work a sharding coordinator fans out. Trial [k]
-    draws from the same [(seed, k)]-derived generator as trial [k] of
-    {!estimate_makespan_seeded}, so for any partition of [\[0, n)] into
-    contiguous ranges, {!merge_ranges} over the per-range estimates (in
-    range order) reproduces [estimate_makespan_seeded ~trials:n ~seed]
-    bit-for-bit: samples, summary, and incomplete count alike. The
-    returned [trials] field is [hi - lo], or the executed prefix length
-    when [ci_target] stopped the range early — stopping boundaries count
-    from [lo], a deterministic property of the range alone. [stop] and
-    [on_trial] have the contract of {!estimate_makespan_seeded}
-    ([on_trial] sees absolute indices).
+    [seed] — the unit of work a sharding coordinator fans out. Every
+    word the range touches runs exactly as in
+    {!estimate_makespan_seeded} and the range keeps its own lanes, so
+    for any partition of [\[0, n)] into contiguous ranges, {!merge_ranges}
+    over the per-range estimates (in range order) reproduces
+    [estimate_makespan_seeded ~trials:n ~seed] bit-for-bit: samples,
+    summary, and incomplete count alike. Ranges that share a word each
+    simulate it (the sharding coordinator's default chunks are whole
+    words). The returned [trials] field is [hi - lo], or the
+    executed prefix length when [ci_target] stopped the range early at
+    an absolute word boundary. [stop] and [on_trial] have the contract
+    of {!estimate_makespan_seeded} ([on_trial] sees absolute indices).
     @raise Invalid_argument unless [0 <= lo < hi]. *)
 
 val merge_ranges : max_steps:int -> estimate list -> estimate
@@ -189,40 +184,37 @@ val estimate_makespan_seeded :
   Suu_core.Instance.t ->
   Suu_core.Policy.t ->
   estimate
-(** Like {!estimate_makespan} but with {e per-trial} RNG splitting: trial
-    [k] draws from a generator derived deterministically from [(seed, k)],
-    so the estimate depends only on [(seed, trials)] — not on chunking,
-    scheduling, or how many concurrent callers share the process. This is
-    the reproducibility discipline of {!estimate_makespan_parallel} pushed
-    down to trial granularity; the serving layer uses it so a request's
-    answer is identical no matter which worker domain runs it.
+(** Like {!estimate_makespan} but word-seeded: word [w] draws from a
+    stream derived from [(seed, w)] (see {e Words} above), so the
+    estimate depends only on [(seed, trials)] — not on chunking,
+    scheduling, or how many concurrent callers share the process. The
+    serving layer uses it so a request's answer is identical no matter
+    which worker domain runs it.
 
-    [stop] is polled between trials (default: never stops); when it
-    returns [true] the estimate is abandoned and {!Interrupted} is raised
-    — the hook for per-request deadline enforcement. A single trial is
-    bounded by [max_steps] (default {!default_horizon}), so the poll
-    interval is bounded too.
-
-    [on_trial k] (default: nothing) runs just before trial [k], after
-    the [stop] poll. It is an observability and fault-injection seam:
-    the serving layer's chaos harness uses it to stall a trial (a sleep,
-    exercising mid-request deadline enforcement — the next trial's
-    [stop] poll sees the expired deadline) or to fail transiently (an
-    exception, which propagates to the caller and exercises the retry
-    policy). It cannot perturb the estimate itself: trial [k]'s RNG
-    stream is derived from [(seed, k)] after the hook returns.
+    Per word, [on_trial k] (default: nothing) runs for each of the
+    word's indices in order, then [stop] is polled once (default: never
+    stops), then the word is simulated. When [stop] returns [true] the
+    estimate is abandoned and {!Interrupted} is raised before the word
+    runs — the hook for per-request deadline enforcement. A word is
+    bounded by [max_steps] (default {!default_horizon}) steps per lane,
+    so the poll interval is bounded too. [on_trial] is an observability
+    and fault-injection seam: the serving layer's chaos harness uses it
+    to stall a trial (a sleep, exercising mid-request deadline
+    enforcement — the poll that follows sees the expired deadline) or
+    to fail transiently (an exception, which propagates to the caller
+    and exercises the retry policy). It cannot perturb the estimate:
+    word streams are fixed by [(seed, w)].
 
     [observer] (default: none) captures the step-by-step execution —
     per-step machine→job assignments and completions — of the trials its
     [sample_every] selects, emitting one {!Suu_obs.Exec_trace.trial} per
-    sampled trial, in trial order. Like [on_trial] it cannot perturb the
-    estimate: an observed trial consumes {e exactly} the RNG stream of
-    an unobserved one (for the naive stepper the draw loop is identical
-    and recording happens after each step; for the leapfrog path the
-    history is reconstructed after the fact from the completion arena
-    and the schedule, drawing nothing), so seeded estimates are
-    bit-identical with the observer on or off. For an oblivious policy
-    the recorded assignment at step [t] is the schedule column
+    selected trial, in trial order, after the estimate. Observation is a
+    side replay: trial [k] is re-run on the naive stepper from
+    [Rng.create seed'], where [seed'] is the per-trial seed
+    [Exec_trace.trial.seed] records, so it shows one realisation of the
+    same law rather than the estimate's own lane [k], and the estimate
+    is bit-identical with the observer on or off. For an oblivious
+    policy the recorded assignment at step [t] is the schedule column
     [Oblivious.step sched t] verbatim — the {e decided} assignment,
     completed jobs included — matching what {!trace} records. *)
 
@@ -239,26 +231,25 @@ val estimate_makespan_parallel :
   Suu_core.Instance.t ->
   Suu_core.Policy.t ->
   estimate
-(** Multicore {!estimate_makespan_seeded}: trials are self-scheduled one
-    at a time across [domains] OCaml 5 domains (default:
-    [Domain.recommended_domain_count], capped at 8) from a shared
-    counter, so the domains stay balanced even when trial lengths vary.
-    Trial [k] draws from the same [(seed, k)]-derived generator as the
-    seeded estimator, so the summary {e and} the sample vector are a pure
+(** Multicore {!estimate_makespan_seeded}: whole words are
+    self-scheduled across [domains] OCaml 5 domains (default:
+    [Domain.recommended_domain_count], capped at 8; never more than the
+    word count) from a shared counter, so the domains stay balanced even
+    when word lengths vary. Word [w] runs exactly as in the seeded
+    estimator, so the summary {e and} the sample vector are a pure
     function of [(seed, trials)] — identical at any domain count, and
     identical to [estimate_makespan_seeded ~seed ~trials].
 
     [stop] and [on_trial] have the same contract as in
     {!estimate_makespan_seeded}, but may be invoked concurrently from any
     worker domain, so they must be domain-safe; the first exception one
-    of them (or a trial) raises aborts the remaining trials and is
+    of them (or a word) raises aborts the remaining words and is
     re-raised in the calling domain. The policy's [fresh] function is
-    called once per trial inside the worker domain; policies must not
-    share hidden mutable state across trials (all policies in this
-    library satisfy this).
+    called once per stepper trial inside the worker domain; policies
+    must not share hidden mutable state across trials (all policies in
+    this library satisfy this).
 
-    With a [ci_target], workers self-schedule whole words instead of
-    single trials and the CI fold consumes words in index order as they
+    With a [ci_target], the CI fold consumes words in index order as they
     complete, so the stopping boundary — and hence the sample vector and
     the [trials] count — is exactly the sequential seeded one at any
     domain count; words already claimed beyond the boundary are

@@ -31,8 +31,7 @@ module Churn = Suu_dyn.Churn
    stream-equivalent: masks draw from a private splitmix stream in a
    different order than the scalar path. [run_word_ref] (greedy only)
    replays the scalar draw order per lane and is bit-identical to
-   [Engine.estimate_makespan_seeded] — the conformance suite pins both
-   faces. *)
+   [Engine.run] on the same generators — the tests pin both faces. *)
 
 let lanes_per_word = 63
 let never = max_int
@@ -200,7 +199,6 @@ type t = {
   marked : int array;  (** per job, lanes completed during this step *)
   marked_list : int array;
   mutable marked_cnt : int;
-  mass : float array;  (** (job, lane) ref-mode mass ledger; n * 63 *)
   mass_pos : int array;  (** per job, lanes with positive mass this step *)
   mass_dirty : int array;
   mutable mass_cnt : int;
@@ -212,7 +210,6 @@ type t = {
   remaining : int array;  (** per lane, ref-mode unfinished job count *)
   rel_ok : bool array;  (** per job, release date has arrived *)
   mup : bool array;  (** per machine, up at the current step (churn) *)
-  assign : int array;  (** (machine, lane) ref-mode assignment; m * 63 *)
 }
 
 (* Per-step combined completion probabilities of one schedule block
@@ -292,7 +289,9 @@ let create ?releases ?availability inst policy =
   in
   let mode =
     match Policy.oblivious policy with
-    | Some sched when Oblivious.(sched.m) = m ->
+    | Some sched ->
+        if Oblivious.(sched.m) <> m then
+          invalid_arg "Lanes.create: schedule machine count mismatch";
         (* Churn folds into the schedule: the masked schedule idles down
            machines, so the unchurned column kernel over it samples
            exactly the surviving (machine, step) attempts. *)
@@ -300,7 +299,6 @@ let create ?releases ?availability inst policy =
           match churn with None -> sched | Some c -> Churn.mask c sched
         in
         Some (Cols (compile_cols inst n sched))
-    | Some _ -> None
     | None -> (
         match Policy.greedy policy with
         | Some g when g.Policy.g_n = n && g.Policy.g_m = m ->
@@ -330,10 +328,11 @@ let create ?releases ?availability inst policy =
           churn = (match mode with Cols _ -> None | Greedy _ -> churn);
           stream = { s = 0 };
           comp =
-            (* only DAG instances ever touch [comp]: the writes are
-               has_succs-gated, the reads preds-gated *)
+            (* only column kernels of DAG instances ever touch [comp]:
+               the writes are has_succs-gated, the reads preds-gated *)
             Array.make
-              (if Dag.edge_count dag = 0 then 1 else max 1 (n * lanes_per_word))
+              (if Dag.edge_count dag = 0 || not is_cols then 1
+               else max 1 (n * lanes_per_word))
               never;
           start = Array.make lanes_per_word 0;
           done_at = Array.make (if is_cols then dcap else 1) 0;
@@ -344,7 +343,6 @@ let create ?releases ?availability inst policy =
           marked = Array.make (max n 1) 0;
           marked_list = Array.make (max n 1) 0;
           marked_cnt = 0;
-          mass = Array.make (if is_cols then 1 else max 1 (n * lanes_per_word)) 0.;
           mass_pos = Array.make (max n 1) 0;
           mass_dirty = Array.make (max n 1) 0;
           mass_cnt = 0;
@@ -356,10 +354,6 @@ let create ?releases ?availability inst policy =
           remaining = Array.make lanes_per_word 0;
           rel_ok = Array.make (max n 1) true;
           mup = Array.make (max m 1) true;
-          assign =
-            Array.make
-              (if is_cols then 1 else max 1 (m * lanes_per_word))
-              Assignment.idle_job;
         }
 
 (* --- oblivious (Cols) runtime ---------------------------------------- *)
@@ -684,7 +678,7 @@ let greedy_machines_up t step =
 (* End-of-step completion: fold the marked words into done/remaining,
    record lane makespans, refresh successors' pred words. Returns the
    updated alive word. *)
-let greedy_apply_completions t ~step ~alive ~makespans =
+let greedy_apply_completions t ~mass ~step ~alive ~makespans =
   let alive = ref alive in
   for idx = 0 to t.marked_cnt - 1 do
     let j = t.marked_list.(idx) in
@@ -716,7 +710,7 @@ let greedy_apply_completions t ~step ~alive ~makespans =
   t.marked_cnt <- 0;
   for idx = 0 to t.mass_cnt - 1 do
     let j = t.mass_dirty.(idx) in
-    Array.fill t.mass (j * lanes_per_word) lanes_per_word 0.;
+    Array.fill mass (j * lanes_per_word) lanes_per_word 0.;
     t.mass_pos.(j) <- 0
   done;
   t.mass_cnt <- 0;
@@ -930,6 +924,10 @@ let run_word_ref t ~rngs ~max_steps ~makespans =
       let m = t.m in
       greedy_reset t ~lanes;
       Array.fill makespans 0 lanes 0;
+      (* the ref mode's per-lane mass ledger and assignment, (job, lane)
+         and (machine, lane) major *)
+      let mass = Array.make (max 1 (t.n * lanes_per_word)) 0. in
+      let assign = Array.make (max 1 (m * lanes_per_word)) Assignment.idle_job in
       if t.n = 0 then ()
       else begin
         let probs = g.Policy.g_probs
@@ -943,7 +941,7 @@ let run_word_ref t ~rngs ~max_steps ~makespans =
           greedy_release_due t !step;
           greedy_machines_up t !step;
           Array.fill t.free 0 m !alive;
-          Array.fill t.assign 0 (m * lanes_per_word) Assignment.idle_job;
+          Array.fill assign 0 (m * lanes_per_word) Assignment.idle_job;
           let free_left = ref m in
           let k = ref 0 in
           while !free_left > 0 && !k < npairs do
@@ -964,7 +962,7 @@ let run_word_ref t ~rngs ~max_steps ~makespans =
                     while !h <> 0 do
                       let b = !h land (- !h) in
                       h := !h lxor b;
-                      if t.mass.(base + bit_index b) +. p <= cap then
+                      if mass.(base + bit_index b) +. p <= cap then
                         take := !take lor b
                     done
                   end;
@@ -985,8 +983,8 @@ let run_word_ref t ~rngs ~max_steps ~makespans =
                       w := !w lxor b;
                       let l = bit_index b in
                       let o = base + l in
-                      t.mass.(o) <- t.mass.(o) +. p;
-                      t.assign.(abase + l) <- j
+                      mass.(o) <- mass.(o) +. p;
+                      assign.(abase + l) <- j
                     done
                   end
                 end
@@ -998,7 +996,7 @@ let run_word_ref t ~rngs ~max_steps ~makespans =
           for l = 0 to lanes - 1 do
             if !alive land (1 lsl l) <> 0 then
               for i = 0 to m - 1 do
-                let j = t.assign.((i * lanes_per_word) + l) in
+                let j = assign.((i * lanes_per_word) + l) in
                 if
                   j <> Assignment.idle_job
                   && t.marked.(j) land (1 lsl l) = 0
@@ -1016,7 +1014,7 @@ let run_word_ref t ~rngs ~max_steps ~makespans =
                   end
               done
           done;
-          alive := greedy_apply_completions t ~step:!step ~alive:!alive ~makespans;
+          alive := greedy_apply_completions t ~mass ~step:!step ~alive:!alive ~makespans;
           incr step
         done;
         let a = ref !alive in

@@ -12,7 +12,8 @@
     set of the scalar [Rng.float rng < p] — at ~log2(lanes)+2 raw draws
     per mask instead of one uniform per lane. For oblivious schedules the
     kernel processes jobs job-major and switches to per-lane geometric
-    skips (the {!Leapfrog} sampler generalised to start mid-schedule) once
+    skips (a geometric "leapfrog" over the job's remaining occurrences,
+    starting mid-schedule) once
     few lanes remain undecided; for greedy pair-scan regimens the MSM-ALG
     scan itself runs word-wide once per step with the draws fused in.
 
@@ -20,8 +21,9 @@
     {e distribution-equivalent} to the scalar engine (pinned by the
     [lanes-*] conformance properties against the exact CDF oracles), not
     stream-equivalent. {!run_word_ref} replays the scalar draw order per
-    lane and {e is} bit-identical to seeded scalar trials — the agreement
-    test that pins the lane bookkeeping itself. *)
+    lane and {e is} bit-identical to scalar trials on the same
+    generators — the agreement test that pins the lane bookkeeping
+    itself. *)
 
 type t
 (** A compiled kernel: per-policy plans plus reusable per-word arenas.

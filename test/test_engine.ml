@@ -257,26 +257,26 @@ let pinned_instance () =
     ~dag:(Suu_dag.Dag.create ~n:4 [ (0, 2); (1, 3) ])
 
 let test_seeded_pinned_summary () =
-  (* Golden values captured before the zero-allocation rework of the
-     stepping path. The naive stepper's Bernoulli draw sequence is part
-     of the engine's contract (the serving layer's cached answers depend
-     on it), so a seeded estimate of an adaptive policy must stay
-     bit-identical across refactors — not merely statistically close. *)
+  (* Golden values of the word-seeded estimator: word [w] of a seeded
+     estimate runs on the stream [Rng.derive seed w], so the answer —
+     and every cached or served answer built on it — is a pure function
+     of (seed, trials) and must stay bit-identical across refactors, not
+     merely statistically close. *)
   let inst = pinned_instance () in
   let e =
     Engine.estimate_makespan_seeded ~trials:100 ~seed:7 inst
       (Suu_algo.Suu_i.policy inst)
   in
   let s = e.Engine.stats in
-  Alcotest.(check (float 1e-9)) "mean" 3.89 s.Suu_prob.Stats.mean;
-  Alcotest.(check (float 1e-9)) "stddev" 1.3699148392 s.Suu_prob.Stats.stddev;
+  Alcotest.(check (float 1e-9)) "mean" 4.11 s.Suu_prob.Stats.mean;
+  Alcotest.(check (float 1e-9)) "stddev" 1.3095993681 s.Suu_prob.Stats.stddev;
   Alcotest.(check (float 0.)) "min" 2. s.Suu_prob.Stats.min;
-  Alcotest.(check (float 0.)) "max" 10. s.Suu_prob.Stats.max;
+  Alcotest.(check (float 0.)) "max" 8. s.Suu_prob.Stats.max;
   Alcotest.(check int) "count" 100 s.Suu_prob.Stats.count;
   Alcotest.(check int) "incomplete" 0 e.Engine.incomplete;
   Alcotest.(check (array (float 0.)))
     "samples head (trial order)"
-    [| 2.; 3.; 6.; 5.; 3.; 3.; 6.; 3.; 4.; 2. |]
+    [| 3.; 4.; 4.; 5.; 6.; 4.; 8.; 6.; 5.; 3. |]
     (Array.sub e.Engine.samples 0 10)
 
 let test_unseeded_samples_trial_order () =
@@ -303,7 +303,7 @@ let test_unseeded_samples_trial_order () =
     e.Engine.samples
 
 let test_parallel_equals_seeded_any_domains () =
-  (* The parallel estimator derives trial [k]'s stream from [(seed, k)]
+  (* The parallel estimator derives word [w]'s stream from [(seed, w)]
      exactly like the seeded one, so summary and sample vector must be
      identical at every domain count — not just run-over-run stable. *)
   let inst = pinned_instance () in
@@ -354,6 +354,152 @@ let test_parallel_on_trial_hook () =
            ~on_trial:(fun k -> if k = 7 then raise Exit)
            ~trials ~seed:5 inst (always_assign inst)
           : Engine.estimate))
+
+(* --- word granularity ------------------------------------------------ *)
+
+(* The unit of determinism is the 63-trial word: seeded, parallel (any
+   domain count) and merged contiguous ranges — however they cut the
+   words — must agree bit for bit, on the vectorized kernels and on the
+   stepper alike, in every environment. *)
+
+let word = Suu_sim.Lanes.lanes_per_word
+
+let word_instance () =
+  let rng = Rng.create 4242 in
+  Instance.create
+    ~p:(Array.init 3 (fun _ -> Array.init 9 (fun _ -> Rng.uniform rng 0.15 0.9)))
+    ~dag:(Suu_dag.Dag.create ~n:9 [ (0, 3); (1, 3); (2, 5); (3, 7); (5, 8) ])
+
+let word_policies inst =
+  let greedy = Suu_algo.Suu_i.policy inst in
+  [
+    ("greedy", greedy);
+    ( "oblivious",
+      Policy.of_oblivious "obl" (Suu_algo.Suu_i_obl.schedule inst) );
+    ("untagged", Policy.make "untagged" greedy.Policy.fresh);
+  ]
+
+let word_envs inst =
+  [
+    ("plain", None, None);
+    ("releases", Some (Array.init (Instance.n inst) (fun j -> j mod 4)), None);
+    ( "churn",
+      None,
+      Some
+        (Suu_dyn.Churn.generate ~m:(Instance.m inst)
+           { Suu_dyn.Churn.default_params with seed = 9; rate = 0.1 }) );
+  ]
+
+let bits e = Array.map Int64.bits_of_float e.Engine.samples
+
+let check_same label (a : Engine.estimate) (b : Engine.estimate) =
+  Alcotest.(check (array int64)) (label ^ ": samples") (bits a) (bits b);
+  Alcotest.(check int) (label ^ ": trials") a.Engine.trials b.Engine.trials;
+  Alcotest.(check int)
+    (label ^ ": incomplete")
+    a.Engine.incomplete b.Engine.incomplete
+
+let test_word_identities () =
+  let inst = word_instance () in
+  let trials = 1000 and seed = 31 in
+  let max_steps = Engine.default_horizon inst in
+  List.iter
+    (fun (pname, policy) ->
+      List.iter
+        (fun (ename, releases, availability) ->
+          let label = pname ^ "/" ^ ename in
+          let seeded =
+            Engine.estimate_makespan_seeded ?releases ?availability ~trials
+              ~seed inst policy
+          in
+          List.iter
+            (fun domains ->
+              check_same
+                (Printf.sprintf "%s: parallel on %d domains" label domains)
+                seeded
+                (Engine.estimate_makespan_parallel ?releases ?availability
+                   ~domains ~trials ~seed inst policy))
+            [ 1; 2; 3 ];
+          let parts =
+            List.map
+              (fun (lo, hi) ->
+                Engine.estimate_makespan_range ?releases ?availability ~seed
+                  ~lo ~hi inst policy)
+              [ (0, 1); (1, 64); (64, 200); (200, 1000) ]
+          in
+          check_same (label ^ ": merged ranges") seeded
+            (Engine.merge_ranges ~max_steps parts);
+          (* Under a ci_target: parallel finds the same cut, the cut is an
+             absolute word boundary, and the stopped estimate is the
+             prefix of the unstopped one up to it. *)
+          let stopped =
+            Engine.estimate_makespan_seeded ?releases ?availability
+              ~ci_target:0.25 ~trials:20_000 ~seed inst policy
+          in
+          let cut = stopped.Engine.trials in
+          Alcotest.(check bool) (label ^ ": ci_target stopped early") true
+            (cut < 20_000);
+          Alcotest.(check int) (label ^ ": cut on a word boundary") 0
+            (cut mod word);
+          List.iter
+            (fun domains ->
+              check_same
+                (Printf.sprintf "%s: ci_target parallel on %d domains" label
+                   domains)
+                stopped
+                (Engine.estimate_makespan_parallel ?releases ?availability
+                   ~ci_target:0.25 ~domains ~trials:20_000 ~seed inst policy))
+            [ 1; 2; 3 ];
+          check_same (label ^ ": ci_target cut = unstopped prefix") stopped
+            (Engine.merge_ranges ~max_steps
+               [
+                 Engine.estimate_makespan_range ?releases ?availability ~seed
+                   ~lo:0 ~hi:17 inst policy;
+                 Engine.estimate_makespan_range ?releases ?availability ~seed
+                   ~lo:17 ~hi:cut inst policy;
+               ]))
+        (word_envs inst))
+    (word_policies inst)
+
+let test_word_on_trial_in_order () =
+  let inst = word_instance () in
+  List.iter
+    (fun (pname, policy) ->
+      let seen = ref [] in
+      let e =
+        Engine.estimate_makespan_seeded
+          ~on_trial:(fun k -> seen := k :: !seen)
+          ~trials:150 ~seed:3 inst policy
+      in
+      Alcotest.(check (list int))
+        (pname ^ ": every index once, in order")
+        (List.init 150 Fun.id) (List.rev !seen);
+      Alcotest.(check int) (pname ^ ": trials") 150 e.Engine.trials)
+    (word_policies inst)
+
+let test_word_stop_before_next_word () =
+  (* [stop] is polled once per word, after the word's [on_trial] hooks
+     and before its simulation: a stop raised during word 1's hooks
+     interrupts before word 1 runs, so no index past word 1 is hooked. *)
+  let inst = word_instance () in
+  List.iter
+    (fun (pname, policy) ->
+      let hooked = ref (-1) and polls = ref 0 in
+      let stop () =
+        incr polls;
+        !hooked >= word
+      in
+      Alcotest.check_raises (pname ^ ": interrupted") Engine.Interrupted
+        (fun () ->
+          ignore
+            (Engine.estimate_makespan_seeded ~stop
+               ~on_trial:(fun k -> hooked := k)
+               ~trials:1000 ~seed:5 inst policy
+              : Engine.estimate));
+      Alcotest.(check int) (pname ^ ": one poll per word") 2 !polls;
+      Alcotest.(check int) (pname ^ ": hooks stop at word 1") ((2 * word) - 1)
+        !hooked)
+    (word_policies inst)
 
 (* --- release dates (online executions) --- *)
 
@@ -467,7 +613,7 @@ let test_release_typed_validation () =
        (Suu_sim.Releases.error_to_string
           (Suu_sim.Releases.Length_mismatch { expected = 1; got = 2 }))
     > 0);
-  (* the estimators and the vectorized/leapfrog boundaries reject too *)
+  (* every estimator and the vectorized kernel's boundary reject too *)
   let expect_invalid label f =
     match f () with
     | exception Suu_sim.Releases.Invalid _ -> ()
@@ -489,11 +635,16 @@ let test_release_typed_validation () =
            (Suu_core.Policy.of_oblivious "sched"
               (Suu_core.Oblivious.create ~m:1 ~cycle:[| [| 0 |] |] [||]))
           : Suu_sim.Lanes.t option));
-  expect_invalid "leapfrog" (fun () ->
+  expect_invalid "range" (fun () ->
       ignore
-        (Suu_sim.Leapfrog.prepare ~releases:bad_len inst
-           (Suu_core.Oblivious.create ~m:1 ~cycle:[| [| 0 |] |] [||])
-          : Suu_sim.Leapfrog.t))
+        (Engine.estimate_makespan_range ~releases:bad_len ~seed:1 ~lo:0 ~hi:1
+           inst (always_assign inst)
+          : Engine.estimate));
+  expect_invalid "parallel" (fun () ->
+      ignore
+        (Engine.estimate_makespan_parallel ~domains:2 ~releases:bad_neg
+           ~trials:1 ~seed:1 inst (always_assign inst)
+          : Engine.estimate))
 
 let prop_releases_only_delay =
   QCheck.Test.make ~name:"release dates never speed things up (mean)" ~count:10
@@ -607,6 +758,15 @@ let () =
             test_parallel_stop_interrupts;
           Alcotest.test_case "parallel on_trial hook" `Quick
             test_parallel_on_trial_hook;
+        ] );
+      ( "word granularity",
+        [
+          Alcotest.test_case "seeded = parallel = merged ranges" `Slow
+            test_word_identities;
+          Alcotest.test_case "on_trial sees every index in order" `Quick
+            test_word_on_trial_in_order;
+          Alcotest.test_case "stop before the next word" `Quick
+            test_word_stop_before_next_word;
         ] );
       ( "releases",
         [

@@ -1,9 +1,9 @@
-(* The trial-batched vectorized kernel: [estimate_makespan] dispatches to
-   it for structurally tagged policies (greedy pair scans and oblivious
+(* The trial-batched vectorized kernel: every estimator dispatches to it
+   for structurally tagged policies (greedy pair scans and oblivious
    schedules), and its makespans must be distribution-equivalent to the
-   scalar paths. The greedy kernel additionally has a scalar-order ref
-   mode that must be bit-identical to the scalar stepper, which pins the
-   word-wide bookkeeping (free/eligible/mass/marked words) exactly. *)
+   scalar stepper's. The greedy kernel additionally has a scalar-order
+   ref mode that must be bit-identical to the scalar stepper, which pins
+   the word-wide bookkeeping (free/eligible/mass/marked words) exactly. *)
 
 module Instance = Suu_core.Instance
 module Oblivious = Suu_core.Oblivious
@@ -157,12 +157,11 @@ let test_matches_scalar_stats () =
     (Engine.estimate_makespan ~trials (Rng.create 41) inst greedy)
     (Engine.estimate_makespan_seeded ~trials ~seed:42 inst
        (Policy.make "untagged" greedy.Policy.fresh));
-  let sched = Suu_algo.Suu_i_obl.schedule inst in
+  let obl = Policy.of_oblivious "obl" (Suu_algo.Suu_i_obl.schedule inst) in
   check_pair "oblivious"
-    (Engine.estimate_makespan ~trials (Rng.create 43) inst
-       (Policy.of_oblivious "obl" sched))
+    (Engine.estimate_makespan ~trials (Rng.create 43) inst obl)
     (Engine.estimate_makespan_seeded ~trials ~seed:44 inst
-       (Policy.of_oblivious "obl" sched))
+       (Policy.make "untagged" obl.Policy.fresh))
 
 (* --- CI-width sequential stopping ------------------------------------ *)
 
@@ -238,9 +237,11 @@ let test_ci_parallel_equals_seeded () =
         seeded.Engine.samples par.Engine.samples)
     [ 1; 3 ]
 
-let test_ci_range_relative_to_lo () =
-  (* Range stopping counts word boundaries from [lo], so a range is a
-     pure function of (seed, lo, hi, ci_target) — wherever it sits. *)
+let test_ci_range_absolute_words () =
+  (* A range folds only its own samples, but checks them at absolute
+     word boundaries — multiples of the word size counted from trial 0,
+     not from [lo] — so a range is a pure function of
+     (seed, lo, hi, ci_target) whose cut never splits a word. *)
   let inst = mixed_inst () in
   let policy = Suu_algo.Suu_i.policy inst in
   let e =
@@ -248,7 +249,8 @@ let test_ci_range_relative_to_lo () =
       inst policy
   in
   Alcotest.(check bool) "stopped early" true (e.Engine.trials < 49_990);
-  Alcotest.(check int) "boundary relative to lo" 0 (e.Engine.trials mod word);
+  Alcotest.(check int) "cut on an absolute word boundary" 0
+    ((10 + e.Engine.trials) mod word);
   let again =
     Engine.estimate_makespan_range ~ci_target:0.3 ~seed:5 ~lo:10 ~hi:50_000
       inst policy
@@ -342,8 +344,8 @@ let () =
           Alcotest.test_case "target validated" `Quick test_ci_target_validated;
           Alcotest.test_case "parallel = seeded under stopping" `Quick
             test_ci_parallel_equals_seeded;
-          Alcotest.test_case "range stops relative to lo" `Quick
-            test_ci_range_relative_to_lo;
+          Alcotest.test_case "range stops on 63k grid" `Quick
+            test_ci_range_absolute_words;
         ] );
       ( "merge edge cases",
         [

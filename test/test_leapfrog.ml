@@ -1,6 +1,7 @@
-(* The geometric-leapfrog fast path for oblivious schedules: the engine
-   dispatches to it whenever a policy carries an [Oblivious_schedule]
-   structure tag, and its makespans must be distribution-equivalent to
+(* The fast path for oblivious schedules: the estimators run a policy
+   carrying an [Oblivious_schedule] structure tag through the vectorized
+   column kernel, whose per-lane geometric skips generalise the
+   leapfrog sampler. Its makespans must be distribution-equivalent to
    the naive unit-step stepper's (they draw different RNG streams, so
    the equivalence is in law, not bit-for-bit). *)
 

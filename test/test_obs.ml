@@ -527,8 +527,9 @@ let test_observer_bit_identity_oblivious () =
   check_bit_identity "oblivious" inst
     (Policy.of_oblivious "suu-i-obl" (Suu_i_obl.schedule inst))
 
-(* The leapfrog path reconstructs history instead of stepping: its
-   recorded assignments must still be exactly the schedule's columns. *)
+(* An observed oblivious trial is replayed on the naive stepper: its
+   recorded assignments must be exactly the schedule's columns, whatever
+   path the estimate itself took. *)
 let test_observer_leap_reconstruction () =
   let inst = indep_instance () in
   let sched = Suu_i_obl.schedule inst in

@@ -247,7 +247,32 @@ let test_dispatch_auto_chunk () =
       Alcotest.(check bool) "work to steal" true
         (jobs >= min trials (2 * shards));
       Alcotest.(check bool) "bounded" true (jobs <= min trials (8 * shards)))
-    [ (400, 2); (400, 4); (40, 2); (3, 8); (1, 1) ]
+    [ (400, 2); (400, 4); (40, 2); (3, 8); (1, 1); (2000, 2); (253, 1);
+      (100_000, 3) ]
+
+let test_dispatch_auto_chunk_words () =
+  (* Chunks of a word or more are whole words: the coordinator's ranges
+     then never share a 63-trial word. *)
+  let word = Suu_sim.Lanes.lanes_per_word in
+  Alcotest.(check int) "2000 trials over 2 shards" (4 * word)
+    (Dispatch.auto_chunk ~trials:2000 ~shards:2);
+  Alcotest.(check (list (pair int int)))
+    "7 x 252 + 236"
+    (List.init 7 (fun i -> (i * 252, (i + 1) * 252)) @ [ (1764, 2000) ])
+    (Dispatch.plan ~trials:2000 ~chunk:(Dispatch.auto_chunk ~trials:2000 ~shards:2));
+  List.iter
+    (fun (trials, shards) ->
+      let chunk = Dispatch.auto_chunk ~trials ~shards in
+      if chunk >= word then
+        Alcotest.(check int)
+          (Printf.sprintf "%d/%d: whole words" trials shards)
+          0 (chunk mod word)
+      else
+        Alcotest.(check int)
+          (Printf.sprintf "%d/%d: sub-word chunk unrounded" trials shards)
+          ((trials + (4 * shards) - 1) / (4 * shards))
+          chunk)
+    [ (252, 1); (253, 1); (400, 2); (2000, 2); (100_000, 3); (40, 2) ]
 
 let test_dispatch_invalid_args () =
   let raises f =
@@ -566,6 +591,84 @@ let test_coordinator_fences_zombie_answers () =
   Alcotest.(check int) "survivor still standing" 1
     report.Coordinator.shards_live
 
+(* --- TCP line framing --- *)
+
+(* A connected pair: the framed reader on one end, a raw fd to write
+   through on the other. *)
+let framed_pair () =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  (Tcp.conn_of_fd a, b)
+
+let write_all fd s =
+  let rec go off =
+    if off < String.length s then
+      go (off + Unix.write_substring fd s off (String.length s - off))
+  in
+  go 0
+
+let read_all c =
+  let rec go acc =
+    match Tcp.recv_line c with
+    | Some l -> go (l :: acc)
+    | None -> List.rev acc
+  in
+  let lines = go [] in
+  Tcp.close c;
+  lines
+
+(* Write [s] then EOF, all before the reader starts: every line arrives
+   in as few reads as the socket allows. *)
+let frame s =
+  let c, w = framed_pair () in
+  write_all w s;
+  Unix.close w;
+  read_all c
+
+let test_framing_long_line () =
+  (* A 3 MB line trickled in 1000-byte writes reaches the reader over
+     hundreds of reads, and the lines around it survive intact. *)
+  let c, w = framed_pair () in
+  let big = String.init 3_000_000 (fun i -> Char.chr (97 + (i mod 26))) in
+  let payload = "head\n" ^ big ^ "\nafter\n" in
+  let writer =
+    Domain.spawn (fun () ->
+        let n = String.length payload in
+        let rec go off =
+          if off < n then begin
+            let len = min 1000 (n - off) in
+            write_all w (String.sub payload off len);
+            go (off + len)
+          end
+        in
+        go 0;
+        Unix.close w)
+  in
+  let lines = read_all c in
+  Domain.join writer;
+  Alcotest.(check int) "three lines" 3 (List.length lines);
+  Alcotest.(check string) "head" "head" (List.nth lines 0);
+  Alcotest.(check bool) "long line intact" true (String.equal big (List.nth lines 1));
+  Alcotest.(check string) "after" "after" (List.nth lines 2)
+
+let test_framing_many_lines_one_read () =
+  Alcotest.(check (list string))
+    "every line of one read, empty ones included"
+    [ "a"; "bb"; ""; "ccc"; {|{"op":"ping"}|} ]
+    (frame "a\nbb\n\nccc\n{\"op\":\"ping\"}\n")
+
+let test_framing_crlf () =
+  Alcotest.(check (list string))
+    "CRLF stripped, a bare CR kept"
+    [ "one"; "two"; ""; "a\rb"; "\r" ]
+    (frame "one\r\ntwo\r\n\r\na\rb\n\r\r\n")
+
+let test_framing_unterminated_eof () =
+  Alcotest.(check (list string))
+    "a trailing fragment is dropped at EOF" [ "done" ]
+    (frame "done\npartial");
+  Alcotest.(check (list string)) "a lone fragment yields nothing" []
+    (frame "partial")
+
 (* --- TCP transport: reconnect, refuse, stall --- *)
 
 let tcp_server cfg =
@@ -781,6 +884,8 @@ let () =
           Alcotest.test_case "plan partitions" `Quick
             test_dispatch_plan_partitions;
           Alcotest.test_case "auto chunk" `Quick test_dispatch_auto_chunk;
+          Alcotest.test_case "auto chunk whole words" `Quick
+            test_dispatch_auto_chunk_words;
           Alcotest.test_case "invalid args" `Quick
             test_dispatch_invalid_args;
         ] );
@@ -795,6 +900,16 @@ let () =
         [
           Alcotest.test_case "zombie answers discarded at the fence" `Quick
             test_coordinator_fences_zombie_answers;
+        ] );
+      ( "tcp framing",
+        [
+          Alcotest.test_case "multi-MB line over many reads" `Quick
+            test_framing_long_line;
+          Alcotest.test_case "several lines in one read" `Quick
+            test_framing_many_lines_one_read;
+          Alcotest.test_case "CRLF endings" `Quick test_framing_crlf;
+          Alcotest.test_case "unterminated fragment then EOF" `Quick
+            test_framing_unterminated_eof;
         ] );
       ( "tcp",
         [
