@@ -759,7 +759,7 @@ let () =
           Alcotest.test_case "parallel on_trial hook" `Quick
             test_parallel_on_trial_hook;
         ] );
-      ( "word granularity",
+      ( "words",
         [
           Alcotest.test_case "seeded = parallel = merged ranges" `Slow
             test_word_identities;
